@@ -30,6 +30,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	mosquitonet "mosquitonet"
@@ -48,7 +49,6 @@ var opts struct {
 	a2iters     int
 	a3fleets    string
 	scaleFleets string
-	hosts       int
 	sweepN      int
 	scenario    string
 }
@@ -57,7 +57,7 @@ var opts struct {
 type experiment struct {
 	name  string
 	desc  string
-	inAll bool              // runs under -exp all (requires byte-reproducible output)
+	inAll bool                       // runs under -exp all (requires byte-reproducible output)
 	flags func(*flag.FlagSet) string // registers the entry's flags; returns their summary for -list
 	run   func() error
 }
@@ -240,18 +240,10 @@ var experiments = []experiment{
 	},
 	{
 		name: "scale", inAll: true,
-		desc: "roaming-fleet scale (sharded; byte-identical at any -workers)",
-		flags: func(fs *flag.FlagSet) string {
-			if fs.Lookup("scale-fleets") == nil {
-				fs.StringVar(&opts.scaleFleets, "scale-fleets", "10,100,1000,10000,100000",
-					"comma-separated fleet sizes for the scale experiment")
-				fs.IntVar(&opts.hosts, "hosts", 0,
-					"single fleet size for the scale/parallel experiments, overriding -scale-fleets (e.g. -exp scale -hosts 100000)")
-			}
-			return "-scale-fleets, -hosts, -workers"
-		},
+		desc:  "roaming-fleet scale (sharded; byte-identical at any -workers)",
+		flags: scaleFleetsFlag,
 		run: func() error {
-			res, err := mosquitonet.RunScaleWorkers(opts.seed, scaleSizes(), opts.workers)
+			res, err := mosquitonet.RunScaleWorkers(opts.seed, parseFleets(opts.scaleFleets), opts.workers)
 			if err != nil {
 				return err
 			}
@@ -265,22 +257,14 @@ var experiments = []experiment{
 		// times, so it runs only when explicitly requested — never under
 		// "all", which must stay byte-reproducible.
 		name: "parallel", inAll: false,
-		desc: "sharded-scheduler speedup measurement (wall-clock; explicit only)",
-		flags: func(fs *flag.FlagSet) string {
-			if fs.Lookup("scale-fleets") == nil {
-				fs.StringVar(&opts.scaleFleets, "scale-fleets", "10,100,1000,10000,100000",
-					"comma-separated fleet sizes for the scale experiment")
-				fs.IntVar(&opts.hosts, "hosts", 0,
-					"single fleet size for the scale/parallel experiments, overriding -scale-fleets (e.g. -exp scale -hosts 100000)")
-			}
-			return "-scale-fleets, -hosts, -workers"
-		},
+		desc:  "sharded-scheduler speedup measurement (wall-clock; explicit only)",
+		flags: scaleFleetsFlag,
 		run: func() error {
 			w := opts.workers
 			if w <= 1 {
 				w = 4 // comparing workers=1 against itself would be vacuous
 			}
-			res, err := mosquitonet.RunParallel(opts.seed, scaleSizes(), w)
+			res, err := mosquitonet.RunParallel(opts.seed, parseFleets(opts.scaleFleets), w)
 			if err != nil {
 				return err
 			}
@@ -380,13 +364,18 @@ func main() {
 	}
 }
 
-// scaleSizes resolves the scale/parallel fleet list: -hosts overrides
-// -scale-fleets.
-func scaleSizes() []int {
-	if opts.hosts > 0 {
-		return []int{opts.hosts}
+// scaleFleetsFlag registers -scale-fleets, shared by the scale and
+// parallel experiments; its default is the scale scenario's tiers.
+func scaleFleetsFlag(fs *flag.FlagSet) string {
+	if fs.Lookup("scale-fleets") == nil {
+		var tiers []string
+		for _, n := range testbed.MustScenario("scale").Topology.Fleet.Tiers {
+			tiers = append(tiers, strconv.Itoa(n))
+		}
+		fs.StringVar(&opts.scaleFleets, "scale-fleets", strings.Join(tiers, ","),
+			"comma-separated fleet sizes for the scale/parallel experiments (e.g. -exp scale -scale-fleets 100000)")
 	}
-	return parseFleets(opts.scaleFleets)
+	return "-scale-fleets, -workers"
 }
 
 // parseFleets splits a comma-separated fleet-size list.

@@ -16,19 +16,30 @@ import (
 	"mosquitonet/internal/transport"
 )
 
-// World is a compiled scenario: the simulation loop plus every named
+// World is a compiled scenario: the simulation loops plus every named
 // entity the spec declared, keyed for lookup by the itinerary runner, the
-// fault injector, and the admin console. The maps are lookup-only — all
-// iteration happens over the spec's ordered slices (or sorted keys), so a
-// compiled world stays deterministic.
+// fault injector, the admin console and the experiment drivers. The maps
+// are lookup-only — all iteration happens over the spec's ordered slices
+// (or sorted keys), or accumulates order-free sums, so a compiled world
+// stays deterministic.
 type World struct {
-	Spec    *Spec
+	Spec *Spec
+
+	// Loop, Tracer, Metrics and Packets belong to a single-loop world
+	// (Compile); a sharded world (CompileFleet) leaves them nil.
 	Loop    *sim.Loop
 	Tracer  *trace.Tracer
 	Metrics *metrics.Registry
 	Packets *metrics.PacketLog
 
-	Networks map[string]*link.Network // by subnet name
+	// Shards couples a sharded world's loops; nil for a single-loop world.
+	// Loops lists every loop the world owns, in shard-index order, and
+	// Registries their metrics registries in parallel.
+	Shards     *sim.ShardSet
+	Loops      []*sim.Loop
+	Registries []*metrics.Registry
+
+	Networks map[string]*link.Network // by subnet name (fleet: network name)
 	Prefixes map[string]ip.Prefix     // by subnet name
 	Devices  map[string]*link.Device  // by device name
 	Routers  map[string]*stack.Host   // by router name
@@ -44,33 +55,15 @@ type World struct {
 	hosts map[string]*stack.Host
 
 	Faults *Injector
+
+	// probesSent/probesEchoed are a fleet's probe counters, indexed by
+	// shard so each is written only by its own shard's goroutine.
+	probesSent, probesEchoed []uint64
 }
 
-// Compile lowers a resolved, validated spec onto the simulator builders.
-// The lowering walks the spec strictly in order — subnets, then routers
-// (interfaces, forwarding, home agent, DHCP), then end hosts, then
-// mobiles, then a zero-length run to let bring-ups land — because
-// construction order is RNG-consumption order and therefore behavior.
-// Fleet specs do not compile here; their sharded lowering lives in the
-// testbed package.
-func Compile(seed int64, spec *Spec) (*World, error) {
-	if spec.Base != "" {
-		return nil, fmt.Errorf("scenario %q: unresolved base %q (call ResolveBase)", spec.Name, spec.Base)
-	}
-	if err := Validate(spec); err != nil {
-		return nil, err
-	}
-	if spec.Topology.Fleet != nil {
-		return nil, fmt.Errorf("scenario %q: fleet specs are lowered by the testbed's sharded builder, not Compile", spec.Name)
-	}
-
-	loop := sim.New(seed)
-	w := &World{
+func newWorld(spec *Spec) *World {
+	return &World{
 		Spec:     spec,
-		Loop:     loop,
-		Tracer:   trace.New(loop),
-		Metrics:  metrics.Enable(loop),
-		Packets:  metrics.TracePackets(loop, 0),
 		Networks: map[string]*link.Network{},
 		Prefixes: map[string]ip.Prefix{},
 		Devices:  map[string]*link.Device{},
@@ -83,6 +76,38 @@ func Compile(seed int64, spec *Spec) (*World, error) {
 		MIfaces:  map[string]*mip.ManagedIface{},
 		hosts:    map[string]*stack.Host{},
 	}
+}
+
+// checkCompilable rejects specs the lowerings cannot take.
+func checkCompilable(spec *Spec) error {
+	if spec.Base != "" {
+		return fmt.Errorf("scenario %q: unresolved base %q (call ResolveBase)", spec.Name, spec.Base)
+	}
+	return Validate(spec)
+}
+
+// Compile lowers a resolved, validated spec onto the simulator builders.
+// The lowering walks the spec strictly in order — subnets, then routers
+// (interfaces, forwarding, home agent, DHCP), then end hosts, then
+// mobiles, then a zero-length run to let bring-ups land — because
+// construction order is RNG-consumption order and therefore behavior.
+// A fleet spec compiles at its first tier (see CompileFleet).
+func Compile(seed int64, spec *Spec) (*World, error) {
+	if err := checkCompilable(spec); err != nil {
+		return nil, err
+	}
+	if f := spec.Topology.Fleet; f != nil {
+		return compileFleet(seed, spec, f.Tiers[0], 0)
+	}
+
+	loop := sim.New(seed)
+	w := newWorld(spec)
+	w.Loop = loop
+	w.Tracer = trace.New(loop)
+	w.Metrics = metrics.Enable(loop)
+	w.Packets = metrics.TracePackets(loop, 0)
+	w.Loops = []*sim.Loop{loop}
+	w.Registries = []*metrics.Registry{w.Metrics}
 
 	for i := range spec.Topology.Subnets {
 		s := &spec.Topology.Subnets[i]
@@ -137,26 +162,15 @@ func medium(m Medium) link.Medium {
 }
 
 func (w *World) compileRouter(r *Router) error {
-	h := stack.NewHost(w.Loop, r.Name, stack.Config{
-		InputDelay:   r.Delays.Input.D(),
-		OutputDelay:  r.Delays.Output.D(),
-		ForwardDelay: r.Delays.Forward.D(),
-	})
-	ifaces := map[string]*stack.Iface{}
+	at := make([]Attachment, len(r.Ifaces))
 	for i := range r.Ifaces {
 		ri := &r.Ifaces[i]
-		sub := w.subnetSpec(ri.Subnet)
-		n := w.Networks[ri.Subnet]
-		d := link.NewDevice(w.Loop, "r-"+n.Name(), 0, 0)
-		d.Attach(n)
-		d.BringUp(nil)
-		ifc := h.AddIface("r-"+n.Name(), d, ip.MustParseAddr(ri.Addr), w.Prefixes[ri.Subnet],
-			stack.IfaceOpts{PointToPoint: sub.PointToPoint})
-		h.ConnectRoute(ifc)
-		w.Devices[d.Name()] = d
-		ifaces[ri.Subnet] = ifc
+		at[i] = w.attachment(ri.Subnet, ri.Addr)
 	}
-	h.SetForwarding(true)
+	h, ifaces := newRouter(w.Loop, r.Name, r.Delays, at...)
+	for _, ifc := range ifaces {
+		w.Devices[ifc.Device().Name()] = ifc.Device()
+	}
 	ts := transport.NewStack(h)
 	w.Routers[r.Name] = h
 	w.RouterTS[r.Name] = ts
@@ -164,7 +178,7 @@ func (w *World) compileRouter(r *Router) error {
 
 	if has := r.HomeAgent; has != nil {
 		ha, err := mip.NewHomeAgent(ts, mip.HomeAgentConfig{
-			HomeIface:       ifaces[has.Subnet],
+			HomeIface:       h.IfaceByName("r-" + w.Networks[has.Subnet].Name()),
 			HomePrefix:      w.Prefixes[has.Subnet],
 			ProcessingDelay: has.Processing.D(),
 			Tracer:          w.Tracer,
@@ -191,31 +205,14 @@ func (w *World) compileRouter(r *Router) error {
 }
 
 func (w *World) compileEndHost(eh *EndHost) {
-	sub := w.subnetSpec(eh.Subnet)
-	h := stack.NewHost(w.Loop, eh.Name, stack.Config{
-		InputDelay:  eh.Delay.D(),
-		OutputDelay: eh.Delay.D(),
-	})
-	d := link.NewDevice(w.Loop, eh.Name+"-eth", 0, 0)
-	d.Attach(w.Networks[eh.Subnet])
-	d.BringUp(nil)
-	ifc := h.AddIface("eth0", d, ip.MustParseAddr(eh.Addr), w.Prefixes[eh.Subnet],
-		stack.IfaceOpts{PointToPoint: sub.PointToPoint})
-	h.ConnectRoute(ifc)
-	h.AddDefaultRoute(ip.MustParseAddr(eh.Gateway), ifc)
-	w.Loop.RunFor(0)
-	w.Devices[d.Name()] = d
-	w.Stacks[eh.Name] = transport.NewStack(h)
-	w.hosts[eh.Name] = h
+	ts, ifc := BuildEndHost(w.Loop, eh.Name, w.attachment(eh.Subnet, eh.Addr), ip.MustParseAddr(eh.Gateway), eh.Delay.D())
+	w.Devices[ifc.Device().Name()] = ifc.Device()
+	w.Stacks[eh.Name] = ts
+	w.hosts[eh.Name] = ts.Host()
 }
 
 func (w *World) compileMobile(m *Mobile) error {
-	h := stack.NewHost(w.Loop, m.Name, stack.Config{
-		InputDelay:  m.Delay.D(),
-		OutputDelay: m.Delay.D(),
-	})
-	ts := transport.NewStack(h)
-	mh := mip.NewMobileHost(ts, mip.MobileHostConfig{
+	mh := BuildMobile(w.Loop, m.Name, m.Delay.D(), mip.MobileHostConfig{
 		HomeAddr:         ip.MustParseAddr(m.HomeAddr),
 		HomePrefix:       w.Prefixes[m.HomeSubnet],
 		HomeAgent:        ip.MustParseAddr(m.HomeAgent),
@@ -226,9 +223,6 @@ func (w *World) compileMobile(m *Mobile) error {
 	})
 	for i := range m.Ifaces {
 		ic := &m.Ifaces[i]
-		sub := w.subnetSpec(ic.Attach)
-		d := link.NewDevice(w.Loop, ic.Device, ic.BringUp.D(), ic.BringUpJitter.D())
-		d.Attach(w.Networks[ic.Attach])
 		var static *mip.StaticConfig
 		if ic.Static != nil {
 			static = &mip.StaticConfig{
@@ -237,17 +231,35 @@ func (w *World) compileMobile(m *Mobile) error {
 				Gateway: ip.MustParseAddr(ic.Static.Gateway),
 			}
 		}
-		mi, err := mh.AddInterface(ic.Name, d, sub.PointToPoint, static)
+		mi, err := AddMobileIface(mh, MobileIfaceConfig{
+			Name:          ic.Name,
+			Device:        ic.Device,
+			Net:           w.Networks[ic.Attach],
+			BringUp:       ic.BringUp.D(),
+			BringUpJitter: ic.BringUpJitter.D(),
+			PointToPoint:  w.subnetSpec(ic.Attach).PointToPoint,
+			Static:        static,
+		})
 		if err != nil {
 			return fmt.Errorf("scenario %q: mobile %q: iface %q: %w", w.Spec.Name, m.Name, ic.Name, err)
 		}
-		w.Devices[ic.Device] = d
+		w.Devices[ic.Device] = mi.Iface().Device()
 		w.MIfaces[m.Name+"/"+ic.Name] = mi
 	}
-	w.Stacks[m.Name] = ts
+	w.Stacks[m.Name] = mh.Transport()
 	w.Mobiles[m.Name] = mh
-	w.hosts[m.Name] = h
+	w.hosts[m.Name] = mh.Host()
 	return nil
+}
+
+// attachment resolves an interface on a named subnet.
+func (w *World) attachment(subnet, addr string) Attachment {
+	return Attachment{
+		Net:          w.Networks[subnet],
+		Addr:         ip.MustParseAddr(addr),
+		Prefix:       w.Prefixes[subnet],
+		PointToPoint: w.subnetSpec(subnet).PointToPoint,
+	}
 }
 
 // subnetSpec returns the subnet spec by name; Compile runs only on
@@ -277,12 +289,21 @@ func (w *World) HostNames() []string {
 	return names
 }
 
-// RunFor advances the simulation.
-func (w *World) RunFor(d time.Duration) { w.Loop.RunFor(d) }
+// RunFor advances the simulation: every shard of a sharded world, or the
+// single loop.
+func (w *World) RunFor(d time.Duration) {
+	if w.Shards != nil {
+		w.Shards.RunFor(d)
+		return
+	}
+	w.Loop.RunFor(d)
+}
 
-// Close releases the world's per-loop global registrations (metrics,
+// Close releases every loop's process-global registrations (metrics,
 // trace); call it when done with the world.
 func (w *World) Close() {
-	metrics.Release(w.Loop)
-	trace.Release(w.Loop)
+	for _, l := range w.Loops {
+		metrics.Release(l)
+		trace.Release(l)
+	}
 }

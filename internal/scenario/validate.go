@@ -309,14 +309,17 @@ func (v *validator) mobile(m *Mobile) error {
 	return nil
 }
 
+// maxFleetHosts bounds a fleet's size.
+const maxFleetHosts = 1_000_000
+
 func (v *validator) fleet(f *Fleet) error {
 	ctx := fmt.Sprintf("scenario %q: fleet", v.spec.Name)
 	if len(f.Tiers) == 0 {
 		return fmt.Errorf("%s: no tiers", ctx)
 	}
 	for _, n := range f.Tiers {
-		if n < 1 || n > 1_000_000 {
-			return fmt.Errorf("%s: tier %d out of range [1,1000000] hosts", ctx, n)
+		if n < 1 || n > maxFleetHosts {
+			return fmt.Errorf("%s: tier %d out of range [1,%d] hosts", ctx, n, maxFleetHosts)
 		}
 	}
 	if f.Duration <= 0 || f.SwitchPeriod <= 0 || f.ProbeInterval <= 0 {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"mosquitonet/internal/arena"
 	"mosquitonet/internal/arp"
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/link"
@@ -147,28 +146,11 @@ const reassemblySweepInterval = 15 * time.Second
 // rounding is immaterial against a 15s interval and 15-30s expiry window.
 const sweepLaneGranularity = 100 * time.Millisecond
 
-// Host and Iface structs come out of process-wide slabs: a 100k-host
-// fleet allocates thousands of chunks instead of hundreds of thousands of
-// individual objects, which both speeds construction and shrinks GC
-// bookkeeping per host. Slab state is allocation-only — handing out a
-// pointer to zeroed memory is order-independent, so whichever shard builds
-// its topology first cannot affect what any other shard observes.
-var (
-	//lint:allow nosharedstate allocation-only slab (internally mutex-guarded); Get returns zeroed memory, so cross-shard allocation order is unobservable
-	hostSlab = arena.NewSlab[Host](64)
-	//lint:allow nosharedstate allocation-only slab (internally mutex-guarded); Get returns zeroed memory, so cross-shard allocation order is unobservable
-	ifaceSlab = arena.NewSlab[Iface](128)
-)
-
 // NewHost creates a host with a loopback interface and the default route
 // lookup installed.
 func NewHost(loop *sim.Loop, name string, cfg Config) *Host {
-	h := hostSlab.Get()
-	h.name = name
-	h.loop = loop
-	h.cfg = cfg.withDefaults()
-	h.lo = ifaceSlab.Get()
-	*h.lo = Iface{host: h, name: "lo", addr: ip.MustParseAddr("127.0.0.1"), prefix: ip.MustParsePrefix("127.0.0.0/8")}
+	h := &Host{name: name, loop: loop, cfg: cfg.withDefaults()}
+	h.lo = &Iface{host: h, name: "lo", addr: ip.MustParseAddr("127.0.0.1"), prefix: ip.MustParsePrefix("127.0.0.0/8")}
 	h.lo.transmit = func(pkt *ip.Packet, _ ip.Addr) { h.Input(h.lo, pkt) }
 	h.ifaces = append(h.ifaces, h.lo)
 	h.icmp = newICMP(h)
@@ -315,8 +297,7 @@ type IfaceOpts struct {
 // connected prefix, and wires the device's receive path into the stack.
 // It does not add routes; call ConnectRoute or add them explicitly.
 func (h *Host) AddIface(name string, dev *link.Device, addr ip.Addr, prefix ip.Prefix, opts IfaceOpts) *Iface {
-	ifc := ifaceSlab.Get()
-	*ifc = Iface{
+	ifc := &Iface{
 		host:         h,
 		name:         name,
 		addr:         addr,
@@ -362,8 +343,7 @@ func (h *Host) AddIface(name string, dev *link.Device, addr ip.Addr, prefix ip.P
 // owns the interface's egress instead, as the tunnel package's VIF does:
 // the hook steals every packet routed to the interface before send.
 func (h *Host) AddVirtualIface(name string, transmit TransmitFunc) *Iface {
-	ifc := ifaceSlab.Get()
-	*ifc = Iface{host: h, name: name, transmit: transmit}
+	ifc := &Iface{host: h, name: name, transmit: transmit}
 	h.ifaces = append(h.ifaces, ifc)
 	h.InvalidateRoutes()
 	return ifc

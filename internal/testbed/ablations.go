@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"mosquitonet/internal/ip"
-	"mosquitonet/internal/link"
 	"mosquitonet/internal/metrics"
 	"mosquitonet/internal/mip"
+	"mosquitonet/internal/scenario"
 	"mosquitonet/internal/sim"
 	"mosquitonet/internal/stack"
 	"mosquitonet/internal/stats"
@@ -212,12 +212,10 @@ func RunA2(seed int64, iterations int) (*A2Result, error) {
 
 	// wan0 is the interface the mobile host uses on the slow net.
 	addWAN := func(tb *Testbed) *mip.ManagedIface {
-		d := link.NewDevice(tb.Loop, "mh-wan", EthBringUp, EthBringUpJitter)
-		d.Attach(tb.SlowNet)
-		mi, err := tb.MH.AddInterface("wan0", d, false, &mip.StaticConfig{
-			Addr:    MHSlowAddr,
-			Prefix:  SlowPrefix,
-			Gateway: RouterSlowAddr,
+		mi, err := scenario.AddMobileIface(tb.MH, scenario.MobileIfaceConfig{
+			Name: "wan0", Device: "mh-wan", Net: tb.SlowNet,
+			BringUp: EthBringUp, BringUpJitter: EthBringUpJitter,
+			Static: &mip.StaticConfig{Addr: MHSlowAddr, Prefix: SlowPrefix, Gateway: RouterSlowAddr},
 		})
 		if err != nil {
 			panic(err)
@@ -325,18 +323,9 @@ func RunA2(seed int64, iterations int) (*A2Result, error) {
 
 // newSlowNetFA places a foreign agent host on the slow remote subnet.
 func newSlowNetFA(tb *Testbed) (*mip.ForeignAgent, error) {
-	h := stack.NewHost(tb.Loop, "fa-slow", stack.Config{
-		InputDelay:  CHProcDelay,
-		OutputDelay: CHProcDelay,
-	})
-	d := link.NewDevice(tb.Loop, "fa-eth", 0, 0)
-	d.Attach(tb.SlowNet)
-	d.BringUp(nil)
-	ifc := h.AddIface("eth0", d, FASlowAddr, SlowPrefix, stack.IfaceOpts{})
-	h.ConnectRoute(ifc)
-	h.AddDefaultRoute(RouterSlowAddr, ifc)
-	tb.Loop.RunFor(0)
-	return mip.NewForeignAgent(transport.NewStack(h), mip.ForeignAgentConfig{
+	ts, ifc := scenario.BuildEndHost(tb.Loop, "fa-slow",
+		scenario.Attachment{Net: tb.SlowNet, Addr: FASlowAddr, Prefix: SlowPrefix}, RouterSlowAddr, CHProcDelay)
+	return mip.NewForeignAgent(ts, mip.ForeignAgentConfig{
 		Iface:           ifc,
 		ProcessingDelay: CHProcDelay,
 		Tracer:          tb.Tracer,
@@ -401,24 +390,16 @@ func runA3Fleet(seed int64, n int) (A3Row, *metrics.Snapshot, error) {
 	}
 	var fleet []fleetMH
 	for i := 0; i < n; i++ {
-		h := stack.NewHost(tb.Loop, fmt.Sprintf("mh%03d", i), stack.Config{
-			InputDelay:  MHProcDelay,
-			OutputDelay: MHProcDelay,
-		})
-		ts := transport.NewStack(h)
-		m := mip.NewMobileHost(ts, mip.MobileHostConfig{
+		m := scenario.BuildMobile(tb.Loop, fmt.Sprintf("mh%03d", i), MHProcDelay, mip.MobileHostConfig{
 			HomeAddr:   ip.Addr{36, 135, 1, byte(i + 1)},
 			HomePrefix: HomePrefix,
 			HomeAgent:  RouterHomeAddr,
 			Lifetime:   RegLifetime,
 			Tracer:     tracer,
 		})
-		d := link.NewDevice(tb.Loop, "eth", 0, 0)
-		d.Attach(tb.DeptNet)
-		mi, err := m.AddInterface("eth0", d, false, &mip.StaticConfig{
-			Addr:    ip.Addr{36, 8, 2, byte(i + 1)},
-			Prefix:  DeptPrefix,
-			Gateway: RouterDeptAddr,
+		mi, err := scenario.AddMobileIface(m, scenario.MobileIfaceConfig{
+			Name: "eth0", Device: "eth", Net: tb.DeptNet,
+			Static: &mip.StaticConfig{Addr: ip.Addr{36, 8, 2, byte(i + 1)}, Prefix: DeptPrefix, Gateway: RouterDeptAddr},
 		})
 		if err != nil {
 			return row, nil, err

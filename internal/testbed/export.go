@@ -50,7 +50,4 @@ func (tb *Testbed) SnapshotMetrics(name string) *metrics.Snapshot {
 // Close releases the testbed's per-loop telemetry associations. The Run*
 // experiment drivers call it so building many testbeds in one process does
 // not accumulate registry state; interactive users can ignore it.
-func (tb *Testbed) Close() {
-	metrics.Release(tb.Loop)
-	trace.Release(tb.Loop)
-}
+func (tb *Testbed) Close() { tb.World.Close() }

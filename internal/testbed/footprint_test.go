@@ -3,6 +3,8 @@ package testbed
 import (
 	"runtime"
 	"testing"
+
+	"mosquitonet/internal/scenario"
 )
 
 // The host-footprint benchmark weighs a resident (constructed, not yet
@@ -19,7 +21,7 @@ import (
 //	              its share of the pre-run event queue.
 //	allocs/host — heap allocations performed to construct one host.
 //
-// Both fleet sizes sit in the same scaleShardCount tier so the shard
+// Both fleet sizes sit in the same scenario.FleetShards tier so the shard
 // infrastructure is identical and only the fleet differs.
 const (
 	footprintSmallFleet = 300
@@ -29,11 +31,11 @@ const (
 // weighFleet builds an n-host fleet and returns its live heap bytes
 // (after a GC pass, relative to the pre-build heap) and the number of
 // allocations construction performed.
-func weighFleet(tb testing.TB, n int) (liveBytes, mallocs uint64) {
+func weighFleet(tb testing.TB, spec *scenario.Spec, n int) (liveBytes, mallocs uint64) {
 	var before, mid, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	fl, err := buildScaleFleet(1996, n, 1)
+	w, err := scenario.CompileFleet(1996, spec, n)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -42,16 +44,17 @@ func weighFleet(tb testing.TB, n int) (liveBytes, mallocs uint64) {
 	runtime.ReadMemStats(&after)
 	liveBytes = after.HeapAlloc - before.HeapAlloc
 	mallocs = mid.Mallocs - before.Mallocs
-	fl.release()
-	runtime.KeepAlive(fl)
+	w.Close()
+	runtime.KeepAlive(w)
 	return liveBytes, mallocs
 }
 
 // measureHostFootprint returns the marginal bytes/host and allocs/host of
 // one mobile host in the scale topology.
 func measureHostFootprint(tb testing.TB) (bytesPerHost, allocsPerHost float64) {
-	smallBytes, smallAllocs := weighFleet(tb, footprintSmallFleet)
-	largeBytes, largeAllocs := weighFleet(tb, footprintLargeFleet)
+	spec := MustScenario("scale")
+	smallBytes, smallAllocs := weighFleet(tb, spec, footprintSmallFleet)
+	largeBytes, largeAllocs := weighFleet(tb, spec, footprintLargeFleet)
 	hosts := float64(footprintLargeFleet - footprintSmallFleet)
 	return float64(largeBytes-smallBytes) / hosts, float64(largeAllocs-smallAllocs) / hosts
 }
@@ -71,13 +74,15 @@ func BenchmarkHostFootprint(b *testing.B) {
 
 // Budgets for TestHostFootprintBudget. The measured footprint after the
 // per-host memory diet (interned addresses, snapshot-time metric
-// collectors, lazy host/transport maps, packed ARP tables, slab-allocated
-// host structs, self-chaining load timers) is ~5.8 KB and ~162 allocs per
-// host; before the diet it was ~24.4 KB and ~733 allocs. The budgets sit
-// ~40% above the measured values — loose enough to absorb Go-version and
-// allocator noise, tight enough that reintroducing any one of the big
-// per-host costs (a 20-entry metric roster, eagerly-allocated maps, a
-// per-packet address formatter) blows through them.
+// collectors, lazy host/transport maps, packed ARP tables, self-chaining
+// load timers) is ~5.9 KB and ~165 allocs per host; before the diet it
+// was ~24.4 KB and ~733 allocs. Host and Iface structs are plain heap
+// objects: the slab allocator that once carved them from shared chunks
+// saved ~3 allocs per host but kept every finished world reachable. The
+// budgets sit ~40% above the measured values — loose enough to absorb
+// Go-version and allocator noise, tight enough that reintroducing any one
+// of the big per-host costs (a 20-entry metric roster, eagerly-allocated
+// maps, a per-packet address formatter) blows through them.
 const (
 	footprintBytesBudget  = 8192
 	footprintAllocsBudget = 230

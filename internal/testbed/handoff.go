@@ -216,29 +216,12 @@ func RunHandoff(seed int64) (*HandoffResult, error) {
 	fr.TriggerOn("reg.timeout")
 	fr.TriggerOnBurst("drop.noroute", handoffDropBurstCount, handoffDropBurstWindow)
 
-	if err := tb.World.Step(spec.Itinerary[0]); err != nil {
-		return nil, fmt.Errorf("handoff: %w", err)
-	}
-
-	p := spec.Traffic.Probes[0]
-	probe, err := NewFlowProbe(tb.Loop, tb.World.Stacks[p.From], tb.World.Stacks[p.To],
-		ip.MustParseAddr(p.Dst), uint16(p.Port), p.Interval.D())
+	probes, windows, err := runProbeItinerary(tb)
 	if err != nil {
-		return nil, err
-	}
-	probe.Start()
-
-	if err := tb.World.RunItinerary(spec.Itinerary[1:]); err != nil {
 		return nil, fmt.Errorf("handoff: %w", err)
 	}
-
-	// Drain: stop sending, let stragglers arrive.
-	probe.Pause()
-	tb.Run(spec.Traffic.Drain.D())
-
-	windows := observationWindows(tb.Tracer)
-
-	flow := probe.Flow()
+	p := spec.Traffic.Probes[0]
+	flow := probes[0].Flow()
 	sent, received, lost, reorders := flow.Totals()
 	res := &HandoffResult{
 		Rows: HandoffRows{

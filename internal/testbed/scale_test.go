@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
-	"mosquitonet/internal/sim"
+	"mosquitonet/internal/scenario"
 )
 
 // TestScaleShardCount pins the fleet-size → shard-count mapping: shard
@@ -18,8 +18,8 @@ func TestScaleShardCount(t *testing.T) {
 		65536: 64, 100000: 64,
 	}
 	for n, want := range cases {
-		if got := scaleShardCount(n); got != want {
-			t.Errorf("scaleShardCount(%d) = %d, want %d", n, got, want)
+		if got := scenario.FleetShards(n); got != want {
+			t.Errorf("FleetShards(%d) = %d, want %d", n, got, want)
 		}
 	}
 }
@@ -56,73 +56,6 @@ func TestScaleWorkersByteIdentical(t *testing.T) {
 		}
 		if !bytes.Equal(baseSnapJSON.Bytes(), snapJSON.Bytes()) {
 			t.Errorf("workers=%d metrics snapshot differs from workers=1", workers)
-		}
-	}
-}
-
-// runSilentCampusFleet runs a 64-host fleet whose last campus shard has
-// infrastructure but no mobile hosts, and returns the deterministic
-// outputs plus the shard set's barrier stats (read before release).
-func runSilentCampusFleet(t *testing.T, workers int) (ScaleRow, []byte, []sim.ShardStats, uint64) {
-	t.Helper()
-	fl, err := buildScaleFleetSilent(1996, 64, workers, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fl.release()
-	fl.ss.RunFor(scaleDuration)
-	row := fl.row()
-	var snapJSON bytes.Buffer
-	if err := fl.snapshot().WriteJSON(&snapJSON); err != nil {
-		t.Fatal(err)
-	}
-	stats := make([]sim.ShardStats, fl.numShards)
-	for k := range stats {
-		stats[k] = fl.ss.ShardStats(k)
-	}
-	return row, snapJSON.Bytes(), stats, fl.ss.Epochs()
-}
-
-// TestScaleSilentCampus pins the barrier tree's skip path on the real
-// topology: a campus shard with no mobile hosts must never participate in
-// a barrier — zero waits, zero dispatched events, every epoch skipped —
-// and its presence must not disturb byte-identical execution across
-// worker counts.
-func TestScaleSilentCampus(t *testing.T) {
-	baseRow, baseSnap, baseStats, epochs := runSilentCampusFleet(t, 1)
-	if baseRow.ProbesEchoed == 0 || baseRow.CrossFrames == 0 {
-		t.Fatalf("workload did not exercise cross-shard traffic: %+v", baseRow)
-	}
-
-	// The silent campus is the last campus shard (index numFleet-1 = 2 at
-	// 64 hosts: shards 0..3 campuses, 4 hub — silent one is index 3).
-	silent := scaleShardCount(64) - 1
-	st := baseStats[silent]
-	if st.BarrierWaits != 0 || st.EventsDispatched != 0 {
-		t.Errorf("silent campus shard %d participated: %+v", silent, st)
-	}
-	if st.EpochsSkipped != epochs {
-		t.Errorf("silent campus skipped %d of %d epochs", st.EpochsSkipped, epochs)
-	}
-	// The active shards must have carried the whole fleet.
-	for k := 0; k < silent; k++ {
-		if baseStats[k].EventsDispatched == 0 {
-			t.Errorf("active shard %d dispatched no events", k)
-		}
-	}
-
-	for _, workers := range []int{4, 8} {
-		row, snap, stats, _ := runSilentCampusFleet(t, workers)
-		if row != baseRow {
-			t.Errorf("workers=%d row differs from workers=1:\n  %+v\n  %+v", workers, baseRow, row)
-		}
-		if !bytes.Equal(baseSnap, snap) {
-			t.Errorf("workers=%d metrics snapshot differs from workers=1", workers)
-		}
-		for k := range stats {
-			if stats[k] != baseStats[k] {
-				t.Errorf("workers=%d shard %d stats %+v, workers=1 %+v", workers, k, stats[k], baseStats[k])
-			}
 		}
 	}
 }

@@ -85,36 +85,10 @@ func RunScenarioProbe(seed int64, spec *scenario.Spec) (*ScenarioResult, error) 
 	}
 	defer tb.Close()
 
-	if err := tb.World.Step(spec.Itinerary[0]); err != nil {
+	probes, windows, err := runProbeItinerary(tb)
+	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
 	}
-
-	var probes []*FlowProbe
-	if spec.Traffic != nil {
-		for i := range spec.Traffic.Probes {
-			p := &spec.Traffic.Probes[i]
-			probe, err := NewFlowProbe(tb.Loop, tb.World.Stacks[p.From], tb.World.Stacks[p.To],
-				ip.MustParseAddr(p.Dst), uint16(p.Port), p.Interval.D())
-			if err != nil {
-				return nil, fmt.Errorf("scenario %s: probe %s->%s: %w", spec.Name, p.From, p.To, err)
-			}
-			probes = append(probes, probe)
-			probe.Start()
-		}
-	}
-
-	if err := tb.World.RunItinerary(spec.Itinerary[1:]); err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", spec.Name, err)
-	}
-
-	for _, probe := range probes {
-		probe.Pause()
-	}
-	if spec.Traffic != nil && spec.Traffic.Drain.D() > 0 {
-		tb.Run(spec.Traffic.Drain.D())
-	}
-
-	windows := observationWindows(tb.Tracer)
 
 	res := &ScenarioResult{
 		Rows: ScenarioRows{
@@ -146,4 +120,42 @@ func RunScenarioProbe(seed int64, spec *scenario.Spec) (*ScenarioResult, error) 
 		Rows:       res.Rows,
 	}
 	return res, nil
+}
+
+// runProbeItinerary is the run sequence of the probe-scored experiments:
+// the first itinerary step attaches the mobile host, every spec probe
+// starts, the remaining steps (and any scheduled faults) play out, the
+// probes pause, and the spec's drain lets stragglers arrive. It returns
+// the probes and the handoff and fault windows to score them against.
+func runProbeItinerary(tb *Testbed) ([]*FlowProbe, []stats.Window, error) {
+	spec := tb.World.Spec
+	if err := tb.World.Step(spec.Itinerary[0]); err != nil {
+		return nil, nil, err
+	}
+
+	var probes []*FlowProbe
+	if spec.Traffic != nil {
+		for i := range spec.Traffic.Probes {
+			p := &spec.Traffic.Probes[i]
+			probe, err := NewFlowProbe(tb.Loop, tb.World.Stacks[p.From], tb.World.Stacks[p.To],
+				ip.MustParseAddr(p.Dst), uint16(p.Port), p.Interval.D())
+			if err != nil {
+				return nil, nil, fmt.Errorf("probe %s->%s: %w", p.From, p.To, err)
+			}
+			probes = append(probes, probe)
+			probe.Start()
+		}
+	}
+
+	if err := tb.World.RunItinerary(spec.Itinerary[1:]); err != nil {
+		return nil, nil, err
+	}
+
+	for _, probe := range probes {
+		probe.Pause()
+	}
+	if spec.Traffic != nil && spec.Traffic.Drain.D() > 0 {
+		tb.Run(spec.Traffic.Drain.D())
+	}
+	return probes, observationWindows(tb.Tracer), nil
 }
