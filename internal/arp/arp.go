@@ -71,15 +71,15 @@ var (
 )
 
 // Unmarshal parses an ARP message, validating the type/length fields.
-func Unmarshal(b []byte) (*Message, error) {
+func Unmarshal(b []byte) (Message, error) {
 	if len(b) < MessageLen {
-		return nil, ErrShortMessage
+		return Message{}, ErrShortMessage
 	}
 	if binary.BigEndian.Uint16(b[0:]) != 1 || binary.BigEndian.Uint16(b[2:]) != 0x0800 ||
 		b[4] != 6 || b[5] != 4 {
-		return nil, ErrBadFormat
+		return Message{}, ErrBadFormat
 	}
-	m := &Message{Op: Op(binary.BigEndian.Uint16(b[6:]))}
+	m := Message{Op: Op(binary.BigEndian.Uint16(b[6:]))}
 	copy(m.SenderHW[:], b[8:14])
 	copy(m.SenderIP[:], b[14:18])
 	copy(m.TargetHW[:], b[18:24])
@@ -380,10 +380,10 @@ func (c *Cache) HandleFrame(f *link.Frame) {
 	}
 	switch {
 	case isLocal:
-		c.reply(m)
+		c.reply(&m)
 		c.stats.RepliesSent++
 	case c.Published(m.TargetIP):
-		c.reply(m)
+		c.reply(&m)
 		c.stats.ProxyReplies++
 	}
 }

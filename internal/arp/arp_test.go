@@ -51,7 +51,7 @@ func TestMessageRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *got != *m {
+	if got != *m {
 		t.Fatalf("round trip: %+v vs %+v", got, m)
 	}
 }
@@ -71,7 +71,7 @@ func TestPropertyMessageRoundTrip(t *testing.T) {
 	f := func(op uint16, shw, thw [6]byte, sip, tip [4]byte) bool {
 		m := &Message{Op: Op(op), SenderHW: shw, SenderIP: sip, TargetHW: thw, TargetIP: tip}
 		got, err := Unmarshal(m.Marshal())
-		return err == nil && *got == *m
+		return err == nil && got == *m
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

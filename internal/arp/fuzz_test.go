@@ -35,7 +35,7 @@ func FuzzUnmarshal(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-marshaled message failed to parse: %v", err)
 		}
-		if *m2 != *m {
+		if m2 != m {
 			t.Fatalf("round trip changed message: %+v -> %+v", m, m2)
 		}
 	})

@@ -148,6 +148,12 @@ type Device struct {
 	promiscuous bool
 	upSince     sim.Time
 
+	// Overheard-frame accounting against net (see fold): ord is the
+	// attachment ordinal, seen the network's delivered counted-flight
+	// count as of the last fold (or of attaching), skip how many flights
+	// delivered since then this device was exempt from — sent, visited.
+	ord, seen, skip uint64
+
 	// Traffic counters live in the loop's metrics registry (detached
 	// handles when telemetry is disabled); DeviceStats is a read-through
 	// view assembled by Stats. Handles are never shared between devices:
@@ -196,10 +202,11 @@ func NewDevice(loop *sim.Loop, name string, bringUpDelay, jitter time.Duration) 
 		c.Counter("link.device.rx_packets", d.ctr.received.Value(), dev)
 		c.Counter("link.device.tx_bytes", d.ctr.txBytes.Value(), dev)
 		c.Counter("link.device.rx_bytes", d.ctr.rxBytes.Value(), dev)
-		c.Counter("link.device.drop_down", d.ctr.dropDown.Value(), dev)
+		down, filter := d.drops()
+		c.Counter("link.device.drop_down", down, dev)
 		c.Counter("link.device.drop_no_net", d.ctr.dropNoNet.Value(), dev)
 		c.Counter("link.device.drop_mtu", d.ctr.dropMTU.Value(), dev)
-		c.Counter("link.device.drop_filter", d.ctr.dropFilter.Value(), dev)
+		c.Counter("link.device.drop_filter", filter, dev)
 	})
 	return d
 }
@@ -220,15 +227,69 @@ func (d *Device) IsUp() bool { return d.state == StateUp }
 func (d *Device) Network() *Network { return d.net }
 
 // Stats returns a snapshot of the device counters, assembled from the
-// registry-backed handles.
+// registry-backed handles plus the overheard frames not yet folded.
 func (d *Device) Stats() DeviceStats {
+	down, filter := d.drops()
 	return DeviceStats{
 		Sent:          d.ctr.sent.Value(),
 		Received:      d.ctr.received.Value(),
-		DroppedDown:   d.ctr.dropDown.Value(),
+		DroppedDown:   down,
 		DroppedNoNet:  d.ctr.dropNoNet.Value(),
 		DroppedMTU:    d.ctr.dropMTU.Value(),
-		DroppedFilter: d.ctr.dropFilter.Value(),
+		DroppedFilter: filter,
+	}
+}
+
+// drops returns the down and filter drop totals, including the pending
+// overheard charge.
+func (d *Device) drops() (down, filter uint64) {
+	down, filter = d.ctr.dropDown.Value(), d.ctr.dropFilter.Value()
+	if _, k := d.overheard(); d.state == StateUp {
+		filter += k
+	} else {
+		down += k
+	}
+	return down, filter
+}
+
+// overheard returns how far the network's delivered counted flights reach
+// for d (done) and how many of those since d's last fold it overheard:
+// it was in their transmit-time snapshot but neither sent nor was visited
+// by them. While a counted flight is being delivered, a device behind the
+// delivery cursor in attachment order has not been reached yet, so that
+// flight stays pending for it — exactly as a visit-every-receiver walk
+// would not have charged it yet.
+func (d *Device) overheard() (done, k uint64) {
+	n := d.net
+	if n == nil {
+		return 0, 0
+	}
+	done = n.uniDone
+	if fl := n.cur; fl != nil && d.ord > n.curOrd && d != fl.from {
+		done--
+	}
+	if done <= d.seen {
+		return done, 0
+	}
+	return done, done - d.seen - d.skip
+}
+
+// fold charges the frames d overheard since its last fold to drop_filter
+// if it is up or drop_down if not, the verdict each would have received
+// on arrival. It runs before every change to what that verdict depends on
+// — state, attachment, promiscuity — so the state since the last fold is
+// the state at every arrival it charges.
+func (d *Device) fold() {
+	done, k := d.overheard()
+	switch {
+	case k == 0:
+	case d.state == StateUp:
+		d.ctr.dropFilter.Add(k)
+	default:
+		d.ctr.dropDown.Add(k)
+	}
+	if done > d.seen {
+		d.seen, d.skip = done, 0
 	}
 }
 
@@ -248,7 +309,16 @@ func (d *Device) notifyChange() {
 }
 
 // SetPromiscuous controls whether frames for other stations are delivered.
-func (d *Device) SetPromiscuous(v bool) { d.promiscuous = v }
+func (d *Device) SetPromiscuous(v bool) {
+	if v == d.promiscuous {
+		return
+	}
+	d.fold()
+	d.promiscuous = v
+	if d.net != nil {
+		d.net.setPromiscuous(d, v)
+	}
+}
 
 // Attach connects the device to a broadcast domain. Attaching does not
 // bring the device up.
@@ -267,6 +337,8 @@ func (d *Device) Detach() {
 	if d.net == nil {
 		return
 	}
+	d.fold()
+	d.net.adopt(d)
 	d.net.remove(d)
 	d.net = nil
 	d.notifyChange()
@@ -284,11 +356,13 @@ func (d *Device) BringUp(done func()) time.Duration {
 		return 0
 	}
 	delay := d.loop.Jitter(d.bringUpDelay, d.bringUpJitter)
+	d.fold()
 	d.state = StateBringingUp
 	d.loop.Schedule(delay, func() {
 		if d.state != StateBringingUp { // brought down meanwhile
 			return
 		}
+		d.fold()
 		d.state = StateUp
 		d.upSince = d.loop.Now()
 		d.markLinkChange(kSpanLinkUp)
@@ -307,6 +381,7 @@ func (d *Device) BringDown() {
 	if d.state == StateDown {
 		return
 	}
+	d.fold()
 	d.state = StateDown
 	d.markLinkChange(kSpanLinkDown)
 	d.notifyChange()

@@ -1,6 +1,8 @@
 package link
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"mosquitonet/internal/bufpool"
@@ -106,7 +108,7 @@ func Backbone() Medium {
 // NetworkStats counts a broadcast domain's traffic.
 type NetworkStats struct {
 	Transmitted uint64 // frames offered to the medium
-	Delivered   uint64 // frame deliveries (one per receiving device)
+	Delivered   uint64 // frame arrivals, one per receiver in the transmit-time snapshot (filter and down rejects included)
 	LostMedium  uint64 // deliveries dropped by the loss model
 }
 
@@ -120,6 +122,27 @@ type Network struct {
 	devices []*Device
 	stats   NetworkStats
 	pktlog  *metrics.PacketLog
+
+	// byHW finds a unicast frame's addressed device; promisc lists the
+	// promiscuous devices in attachment order. dupHW counts attached
+	// devices whose address another attached device already holds (only
+	// possible once NextHWAddr wraps): while nonzero, unicast frames visit
+	// every receiver. nextOrd numbers attachments, so attachment order is
+	// ord order.
+	byHW    map[HWAddr]*Device
+	promisc []*Device
+	dupHW   int
+	nextOrd uint64
+
+	// Overheard-frame accounting (Device.fold): uniSent and uniDone count
+	// the counted flights — lossless unicast transmissions — transmitted
+	// and delivered; inflight holds the ones still in transit, oldest
+	// first. While a counted flight is being delivered, cur is that flight
+	// and curOrd the ord of the receiver it has reached.
+	uniSent, uniDone uint64
+	inflight         []*flight
+	cur              *flight
+	curOrd           uint64
 
 	// busyUntil models the shared half-duplex channel: a frame cannot
 	// start clocking out before the previous one finished.
@@ -146,47 +169,123 @@ type Network struct {
 	flights []*flight
 }
 
-// flight is one frame in transit: a single shared copy of the payload and
-// the snapshot of receivers that survived the loss model at transmit time.
-// One heap event delivers to every receiver in attachment order — the same
-// observable order per-receiver events produced, since their consecutive
-// sequence numbers admitted no interleaving — and then recycles the record.
+// flight is one frame in transit: a single shared copy of the payload,
+// the number of receivers in its transmit-time snapshot, and the ones
+// among them it visits. One heap event delivers to every visited receiver
+// in attachment order — the same observable order per-receiver events
+// produced, since their consecutive sequence numbers admitted no
+// interleaving — and then recycles the record.
+//
+// A counted flight (seq > 0, a lossless unicast) visits only the
+// addressed device and promiscuous devices; every other snapshot receiver
+// overhears it and is charged by arithmetic (Device.fold). Lossy,
+// broadcast and packet-logged frames visit every snapshot receiver.
 type flight struct {
 	net   *Network
+	run   func() // deliver, bound once so scheduling does not allocate
 	frame Frame
-	rx    []*Device
+	from  *Device
+	seq   uint64 // 1-based among the network's counted flights; 0 when every receiver is visited
+	count uint64 // snapshot receivers: this flight's share of Delivered
+	rx    []visit
 }
 
-func (n *Network) newFlight(f *Frame) *flight {
-	var fl *flight
+// visit is one receiver a flight delivers to, with its attachment ordinal
+// at the time it joined the list.
+type visit struct {
+	d   *Device
+	ord uint64
+}
+
+// newFlight takes a recycled flight record.
+func (n *Network) newFlight() *flight {
 	if k := len(n.flights); k > 0 {
-		fl = n.flights[k-1]
+		fl := n.flights[k-1]
 		n.flights[k-1] = nil
 		n.flights = n.flights[:k-1]
-	} else {
-		fl = &flight{net: n}
+		return fl
 	}
-	payload := bufpool.Get(len(f.Payload))
-	copy(payload, f.Payload)
-	fl.frame = Frame{Src: f.Src, Dst: f.Dst, Type: f.Type, Payload: payload, Trace: f.Trace}
-	fl.rx = fl.rx[:0]
+	fl := &flight{net: n}
+	fl.run = fl.deliver
 	return fl
 }
 
-// deliver hands the shared frame to each snapshot receiver, then recycles
+// clone returns a copy of f whose payload is a pooled copy of f's.
+func (f *Frame) clone() Frame {
+	payload := bufpool.Get(len(f.Payload))
+	copy(payload, f.Payload)
+	return Frame{Src: f.Src, Dst: f.Dst, Type: f.Type, Payload: payload, Trace: f.Trace}
+}
+
+// deliver hands the shared frame to each visited receiver, then recycles
 // the payload copy and the flight record. Receivers must not retain the
 // frame or its payload beyond the synchronous delivery chain (ip.Unmarshal
 // and arp.Unmarshal both copy what they keep).
 func (fl *flight) deliver() {
 	n := fl.net
-	for i, d := range fl.rx {
-		fl.rx[i] = nil
-		n.stats.Delivered++
-		d.deliver(&fl.frame)
+	n.stats.Delivered += fl.count
+	if fl.seq > 0 {
+		// Counted flights arrive in transmit order, so uniDone advancing to
+		// seq charges this flight to every device that overheard it. The
+		// sender and the visited receivers are exempt: their skip grows as
+		// delivery passes them.
+		n.uniDone = fl.seq
+		n.cur, n.curOrd = fl, 0
+		if from := fl.from; from.net == n && from.seen < fl.seq {
+			from.skip++
+		}
 	}
+	// len is re-read: Detach and SetPromiscuous from a receiver callback
+	// may insert devices behind the cursor.
+	for i := 0; i < len(fl.rx); i++ {
+		v := fl.rx[i]
+		if fl.seq > 0 {
+			n.curOrd = v.ord
+			if v.d.net == n && v.d.seen < fl.seq {
+				v.d.skip++
+			}
+		}
+		v.d.deliver(&fl.frame)
+	}
+	if fl.seq > 0 {
+		n.cur = nil
+		n.inflight = n.inflight[:copy(n.inflight, n.inflight[1:])]
+	}
+	clear(fl.rx)
 	bufpool.Put(fl.frame.Payload)
-	fl.frame = Frame{}
+	*fl = flight{net: n, run: fl.run, rx: fl.rx[:0]}
 	n.flights = append(n.flights, fl)
+}
+
+// adopt inserts d, which just left the network or turned promiscuous, into
+// the visited list of every counted flight it would otherwise overhear,
+// so each arrival still charges it by its state at that moment. It runs
+// after d folded, so a flight with seq <= d.seen either predates d's
+// attachment or has already passed d.
+func (n *Network) adopt(d *Device) {
+	for _, fl := range n.inflight {
+		if fl.seq > d.seen && fl.from != d && !fl.visits(d) {
+			fl.insert(d)
+		}
+	}
+}
+
+// insert adds d to the visited list at its attachment-order position.
+func (fl *flight) insert(d *Device) {
+	j := len(fl.rx)
+	for j > 0 && fl.rx[j-1].ord > d.ord {
+		j--
+	}
+	fl.rx = slices.Insert(fl.rx, j, visit{d, d.ord})
+}
+
+func (fl *flight) visits(d *Device) bool {
+	for _, v := range fl.rx {
+		if v.d == d {
+			return true
+		}
+	}
+	return false
 }
 
 // AddTap registers an observer invoked for every frame offered to the
@@ -231,15 +330,51 @@ func (n *Network) Stats() NetworkStats { return n.stats }
 // Devices returns the attached devices.
 func (n *Network) Devices() []*Device { return append([]*Device(nil), n.devices...) }
 
-func (n *Network) add(d *Device) { n.devices = append(n.devices, d) }
+// add attaches d behind every device already attached. Flights already in
+// transit are not charged to it: its fold baseline starts at uniSent.
+func (n *Network) add(d *Device) {
+	n.devices = append(n.devices, d)
+	n.nextOrd++
+	d.ord, d.seen, d.skip = n.nextOrd, n.uniSent, 0
+	if _, taken := n.byHW[d.hw]; taken {
+		n.dupHW++
+	} else {
+		if n.byHW == nil {
+			n.byHW = make(map[HWAddr]*Device)
+		}
+		n.byHW[d.hw] = d
+	}
+	if d.promiscuous {
+		n.promisc = append(n.promisc, d)
+	}
+}
 
 func (n *Network) remove(d *Device) {
-	for i, x := range n.devices {
-		if x == d {
-			n.devices = append(n.devices[:i], n.devices[i+1:]...)
-			return
+	n.devices = slices.DeleteFunc(n.devices, func(x *Device) bool { return x == d })
+	n.promisc = slices.DeleteFunc(n.promisc, func(x *Device) bool { return x == d })
+	switch {
+	case n.byHW[d.hw] != d:
+		n.dupHW-- // d was the shadowed duplicate
+	case n.dupHW == 0:
+		delete(n.byHW, d.hw)
+	default:
+		delete(n.byHW, d.hw)
+		if i := slices.IndexFunc(n.devices, func(x *Device) bool { return x.hw == d.hw }); i >= 0 {
+			n.byHW[d.hw] = n.devices[i]
+			n.dupHW--
 		}
 	}
+}
+
+// setPromiscuous keeps the promiscuous list in attachment order.
+func (n *Network) setPromiscuous(d *Device, on bool) {
+	if !on {
+		n.promisc = slices.DeleteFunc(n.promisc, func(x *Device) bool { return x == d })
+		return
+	}
+	i, _ := slices.BinarySearchFunc(n.promisc, d.ord, func(x *Device, ord uint64) int { return cmp.Compare(x.ord, ord) })
+	n.promisc = slices.Insert(n.promisc, i, d)
+	n.adopt(d)
 }
 
 // transmit schedules delivery of f from device from to every other attached
@@ -276,36 +411,61 @@ func (n *Network) transmit(from *Device, f *Frame) {
 			}
 			return
 		}
-		payload := bufpool.Get(len(f.Payload))
-		copy(payload, f.Payload)
-		n.handoff(&Frame{Src: f.Src, Dst: f.Dst, Type: f.Type, Payload: payload, Trace: f.Trace}, arrival)
+		fr := f.clone()
+		n.handoff(&fr, arrival)
 		return
 	}
-	// Loss draws stay per-receiver in attachment order, so the RNG
-	// consumption sequence is identical to per-receiver scheduling. The
-	// payload is copied lazily: a frame every receiver loses costs nothing.
+	if len(n.devices) < 2 {
+		//lint:allow dropaccounting the sender is the only attached device, so the frame has no receiver to reach or miss
+		return
+	}
 	var fl *flight
-	for _, d := range n.devices {
-		if d == from {
-			continue
-		}
-		if n.medium.LossProb > 0 && n.loop.Rand().Float64() < n.medium.LossProb {
-			n.stats.LostMedium++
-			if n.pktlog != nil {
-				n.pktlog.Record(f.Trace, n.name, "link.lost", "medium loss toward "+d.name)
+	if n.medium.LossProb > 0 || f.Dst.IsBroadcast() || n.pktlog != nil || n.dupHW > 0 {
+		// Visit every snapshot receiver. Loss draws stay per-receiver in
+		// attachment order, so the RNG consumption sequence is identical to
+		// per-receiver scheduling; a packet log records each receiver's
+		// verdict. The payload is copied lazily: a frame every receiver
+		// loses costs nothing.
+		for _, d := range n.devices {
+			if d == from {
+				continue
 			}
-			continue
+			if n.medium.LossProb > 0 && n.loop.Rand().Float64() < n.medium.LossProb {
+				n.stats.LostMedium++
+				if n.pktlog != nil {
+					n.pktlog.Record(f.Trace, n.name, "link.lost", "medium loss toward "+d.name)
+				}
+				continue
+			}
+			if fl == nil {
+				fl = n.newFlight()
+				fl.frame = f.clone()
+			}
+			fl.rx = append(fl.rx, visit{d, d.ord})
 		}
 		if fl == nil {
-			fl = n.newFlight(f)
+			//lint:allow dropaccounting every receiver lost the frame; each loss was counted in LostMedium above
+			return
 		}
-		fl.rx = append(fl.rx, d)
+		fl.count = uint64(len(fl.rx))
+	} else {
+		// Lossless unicast: visit the addressed device and the promiscuous
+		// ones, in attachment order; the rest overhear it (Device.fold).
+		fl = n.newFlight()
+		fl.frame = f.clone()
+		n.uniSent++
+		fl.seq, fl.from, fl.count = n.uniSent, from, uint64(len(n.devices)-1)
+		for _, d := range n.promisc {
+			if d != from {
+				fl.rx = append(fl.rx, visit{d, d.ord})
+			}
+		}
+		if dst := n.byHW[f.Dst]; dst != nil && dst != from && !dst.promiscuous {
+			fl.insert(dst)
+		}
+		n.inflight = append(n.inflight, fl)
 	}
-	if fl == nil {
-		//lint:allow dropaccounting every receiver lost the frame; each loss was counted in LostMedium above
-		return
-	}
-	n.loop.At(arrival, fl.deliver)
+	n.loop.At(arrival, fl.run)
 }
 
 // SetHandoff marks this network as the local end of a cross-shard trunk.
@@ -318,17 +478,19 @@ func (n *Network) SetHandoff(fn func(f *Frame, arrival sim.Time)) {
 }
 
 // DeliverLocal delivers a frame received over a trunk to every attached
-// device, then recycles the frame's payload. It must run on this
-// network's own loop (the coordinator schedules it at the arrival time the
-// transmit side computed). The frame's payload must be pool-owned by the
-// caller; ownership transfers here.
+// device (a trunk stub has one), then recycles the frame's payload. It
+// must run on this network's own loop (the coordinator schedules it at the
+// arrival time the transmit side computed). The frame's payload must be
+// pool-owned by the caller; ownership transfers here.
 //
 //mnet:ownership takes f
 func (n *Network) DeliverLocal(f *Frame) {
-	for _, d := range n.devices {
-		n.stats.Delivered++
-		d.deliver(f)
-	}
-	bufpool.Put(f.Payload)
+	fl := n.newFlight()
+	fl.frame = Frame{Src: f.Src, Dst: f.Dst, Type: f.Type, Payload: f.Payload, Trace: f.Trace}
 	f.Payload = nil
+	for _, d := range n.devices {
+		fl.rx = append(fl.rx, visit{d, d.ord})
+	}
+	fl.count = uint64(len(fl.rx))
+	fl.deliver()
 }
