@@ -37,6 +37,10 @@
 //   - retention of a borrowed frame payload: stored into a field, global
 //     or aggregate, captured by a closure, recycled, or passed to an
 //     ownership-taking callee
+//   - retention of a borrowed chain context: a *PacketContext hook
+//     parameter is the host's reusable frame for one chain run (DESIGN.md
+//     §6), so storing it into a field, global or aggregate, or capturing
+//     it in a closure, keeps a pointer the host zeroes and reuses
 package bufownership
 
 import (
@@ -54,7 +58,7 @@ import (
 // Analyzer implements the check.
 var Analyzer = &framework.Analyzer{
 	Name:      "bufownership",
-	Doc:       "pooled buffers are recycled or ownership-transferred exactly once on every path; borrowed frame payloads are never retained",
+	Doc:       "pooled buffers are recycled or ownership-transferred exactly once on every path; borrowed frame payloads and chain contexts are never retained",
 	Run:       run,
 	FactTypes: []framework.Fact{(*OwnershipFact)(nil)},
 }
@@ -111,7 +115,8 @@ const (
 type bufInfo struct {
 	pos      token.Pos
 	desc     string
-	borrowed bool // borrowed frame payload: retention rules apply
+	borrowed bool // borrowed frame payload or chain context: retention rules apply
+	context  bool // borrowed *PacketContext rather than a frame payload
 	owned    bool // owned pooled buffer: leak rules apply
 }
 
@@ -358,6 +363,13 @@ func paramIndex(params *ast.FieldList) map[string]int {
 	return out
 }
 
+// isContextParam reports whether a parameter type is *PacketContext, the
+// stack's per-run hook context.
+func isContextParam(e ast.Expr) bool {
+	_, ptr := e.(*ast.StarExpr)
+	return ptr && finalTypeName(e) == "PacketContext"
+}
+
 // finalTypeName returns the last identifier of a type expression.
 func finalTypeName(e ast.Expr) string {
 	switch t := e.(type) {
@@ -429,7 +441,7 @@ func (a *analyzer) analyzeFunc(ftyp *ast.FuncType, body *ast.BlockStmt, obj type
 
 // entryState seeds the dataflow with the function's parameter contracts:
 // takes-annotated parameters arrive owned, *Frame parameters carry a
-// borrowed payload.
+// borrowed payload, and *PacketContext parameters are themselves borrowed.
 func (fa *funcAnalysis) entryState(ftyp *ast.FuncType, obj types.Object) state {
 	s := newState()
 	var fact OwnershipFact
@@ -473,6 +485,13 @@ func (fa *funcAnalysis) entryState(ftyp *ast.FuncType, obj types.Object) state {
 					id := name.Pos()
 					fa.bufs[id] = &bufInfo{pos: id, desc: "payload of frame " + name.Name, borrowed: true}
 					fa.frameParams[pobj] = id
+					s.bufs[id] = stBorrowed
+				}
+			case isContextParam(field.Type):
+				if pobj != nil {
+					id := name.Pos()
+					fa.bufs[id] = &bufInfo{pos: id, desc: "chain context " + name.Name, borrowed: true, context: true}
+					s.vars[pobj] = []token.Pos{id}
 					s.bufs[id] = stBorrowed
 				}
 			}
@@ -631,6 +650,9 @@ func (fa *funcAnalysis) deepBufs(s *state, e ast.Expr) []token.Pos {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false // closures handled by closure()
 		}
+		if fa.readsContext(s, n) {
+			return false
+		}
 		if x, ok := n.(ast.Expr); ok {
 			if ids := fa.bufsOf(s, x); len(ids) > 0 {
 				out = append(out, ids...)
@@ -640,6 +662,27 @@ func (fa *funcAnalysis) deepBufs(s *state, e ast.Expr) []token.Pos {
 		return true
 	})
 	return unionPos(out, nil)
+}
+
+// readsContext reports whether n reads through a borrowed chain context
+// (ctx.Field, ctx.Method(), *ctx): the result is a copy taken during the
+// run, which is how a hook keeps what it needs, not the context itself.
+func (fa *funcAnalysis) readsContext(s *state, n ast.Node) bool {
+	var base ast.Expr
+	switch x := n.(type) {
+	case *ast.SelectorExpr:
+		base = x.X
+	case *ast.StarExpr:
+		base = x.X
+	default:
+		return false
+	}
+	for _, id := range fa.bufsOf(s, base) {
+		if info := fa.bufs[id]; info != nil && info.context {
+			return true
+		}
+	}
+	return false
 }
 
 // setStatus strong-updates single-buffer sets and weak-updates may-alias
@@ -820,7 +863,7 @@ func (fa *funcAnalysis) assignOne(s *state, l ast.Expr, r ast.Expr, decl bool, e
 // assignTarget binds buffers to a local, or treats a store through a
 // selector/index/deref as an escape: the aggregate now holds the buffer.
 func (fa *funcAnalysis) assignTarget(s *state, l ast.Expr, r ast.Expr, ids []token.Pos, emit bool) {
-	if id, ok := l.(*ast.Ident); ok {
+	if id, ok := l.(*ast.Ident); ok && !fa.isGlobal(id) {
 		if id.Name == "_" {
 			return
 		}
@@ -835,8 +878,8 @@ func (fa *funcAnalysis) assignTarget(s *state, l ast.Expr, r ast.Expr, ids []tok
 		}
 		return
 	}
-	// Store outside the frame (field, element, global): every tracked
-	// buffer in the RHS escapes.
+	// Store outside the frame (field, element, package-level variable):
+	// every tracked buffer in the RHS escapes.
 	escape := ids
 	if escape == nil && r != nil {
 		escape = fa.deepBufs(s, r)
@@ -846,12 +889,35 @@ func (fa *funcAnalysis) assignTarget(s *state, l ast.Expr, r ast.Expr, ids []tok
 	}
 	if emit {
 		for _, id := range escape {
-			if info := fa.bufs[id]; info != nil && info.borrowed {
+			switch info := fa.bufs[id]; {
+			case info == nil || !info.borrowed:
+			case info.context:
+				fa.report(r.Pos(), "borrowed %s retained past its chain run: the host zeroes and reuses it, so copy out the fields you need", info.desc)
+			default:
 				fa.report(r.Pos(), "borrowed frame payload (%s) retained past synchronous delivery: copy it (bufpool.Get + copy) before storing", info.desc)
 			}
 		}
 	}
-	fa.setStatus(s, escape, stTransferred)
+	fa.setStatus(s, fa.ownedOnly(escape), stTransferred)
+}
+
+// isGlobal reports whether id names a package-level variable.
+func (fa *funcAnalysis) isGlobal(id *ast.Ident) bool {
+	v, ok := fa.identObj(id).(*types.Var)
+	return ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
+}
+
+// ownedOnly drops borrowed values from an escaping set: the escape is
+// reported once, and a borrowed value stays borrowed rather than reading
+// as transferred at every later use.
+func (fa *funcAnalysis) ownedOnly(ids []token.Pos) []token.Pos {
+	var out []token.Pos
+	for _, id := range ids {
+		if info := fa.bufs[id]; info == nil || !info.borrowed {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 // closure treats a function literal appearing in an expression: any
@@ -882,12 +948,16 @@ func (fa *funcAnalysis) closure(s *state, lit *ast.FuncLit, emit bool) {
 	}
 	if emit {
 		for _, id := range captured {
-			if info := fa.bufs[id]; info != nil && info.borrowed {
+			switch info := fa.bufs[id]; {
+			case info == nil || !info.borrowed:
+			case info.context:
+				fa.report(lit.Pos(), "borrowed %s captured by a closure: it escapes its chain run, after which the host zeroes and reuses it", info.desc)
+			default:
 				fa.report(lit.Pos(), "borrowed frame payload (%s) captured by a closure: it escapes the synchronous delivery chain", info.desc)
 			}
 		}
 	}
-	fa.setStatus(s, captured, stTransferred)
+	fa.setStatus(s, fa.ownedOnly(captured), stTransferred)
 }
 
 // calleeObj resolves the called function/field object, best effort.

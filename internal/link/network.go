@@ -383,8 +383,13 @@ func (n *Network) setPromiscuous(d *Device, on bool) {
 // individually, not collectively).
 func (n *Network) transmit(from *Device, f *Frame) {
 	n.stats.Transmitted++
-	for _, tap := range n.taps {
-		tap(from, f)
+	if len(n.taps) > 0 {
+		// Taps see a copy: they are called through function values, so
+		// handing them f itself would move every sender's frame to the heap.
+		tf := *f
+		for _, tap := range n.taps {
+			tap(from, &tf)
+		}
 	}
 	now := n.loop.Now()
 	start := now

@@ -134,6 +134,13 @@ type Host struct {
 	// records a traversal span per chain run (opt-in, hot).
 	tracer     *trace.Tracer
 	chainSpans bool
+
+	// Reusable stage-transition state, grown lazily so an idle host pays
+	// for neither: frames[:depth] are the contexts of the chain runs in
+	// progress (see enter), hops the free list of hand-off records.
+	frames []*PacketContext
+	depth  int
+	hops   *hop
 }
 
 // reassemblySweepInterval drives partial-fragment expiry; with MaxAge 2
@@ -582,39 +589,22 @@ func (h *Host) NextID() uint16 {
 // source are outside the scope of mobile IP, packets without one get
 // whatever source the (possibly overridden) lookup chooses.
 func (h *Host) Output(pkt *ip.Packet) error {
-	if pkt.TTL == 0 {
-		pkt.TTL = h.cfg.TTL
-	}
-	if pkt.ID == 0 {
-		pkt.ID = h.NextID()
-	}
-	if pkt.Trace == 0 {
-		pkt.Trace = h.loop.NextSerial()
-	}
-	ctx := &PacketContext{Host: h, Pkt: pkt, stage: pipeline.Output}
+	h.stamp(pkt)
 	dec, err := h.RouteLookup(pkt.Dst, pkt.Src)
 	if err != nil {
 		// The OUTPUT chain still runs, with RouteErr set: the terminal
 		// "unreachable" hook converts the failure into an accounted drop
 		// plus an ICMP Destination Unreachable to a bound source.
-		ctx.RouteErr = err
+		ctx := h.enter(pipeline.Output)
+		ctx.Pkt, ctx.RouteErr = pkt, err
 		h.chains[pipeline.Output].Run(ctx)
+		h.leave(ctx)
 		return err
 	}
-	ctx.Out, ctx.NextHop, ctx.Routed = dec.Iface, dec.NextHop, true
 	if pkt.Src.IsUnspecified() {
 		pkt.Src = dec.Src
 	}
-	if h.chains[pipeline.Output].Run(ctx) != pipeline.Accept {
-		//lint:allow dropaccounting verdict bookkeeping is centralized in the chain observer middleware
-		return nil
-	}
-	h.stats.Sent++
-	if h.pktlog != nil { // guard: the detail string is costly to format
-		h.pktlog.Record(pkt.Trace, h.name, "ip.output", pkt.String()+" via "+ctx.Out.name)
-	}
-	out, nh := ctx.Out, ctx.NextHop
-	h.loop.Schedule(h.cfg.OutputDelay, func() { h.postroute(out, pkt, nh) })
+	h.output(dec.Iface, pkt, dec.NextHop)
 	return nil
 }
 
@@ -622,6 +612,14 @@ func (h *Host) Output(pkt *ip.Packet) error {
 // bypassing route lookup. DHCP clients (which have no routable address
 // yet) and other link-scoped senders use it.
 func (h *Host) OutputVia(ifc *Iface, pkt *ip.Packet, nextHop ip.Addr) error {
+	h.stamp(pkt)
+	h.output(ifc, pkt, nextHop)
+	return nil
+}
+
+// stamp fills the header fields a locally originated packet may leave
+// zero: TTL, IP identification, and the packet-log trace serial.
+func (h *Host) stamp(pkt *ip.Packet) {
 	if pkt.TTL == 0 {
 		pkt.TTL = h.cfg.TTL
 	}
@@ -631,18 +629,25 @@ func (h *Host) OutputVia(ifc *Iface, pkt *ip.Packet, nextHop ip.Addr) error {
 	if pkt.Trace == 0 {
 		pkt.Trace = h.loop.NextSerial()
 	}
-	ctx := &PacketContext{Host: h, Out: ifc, Pkt: pkt, NextHop: nextHop, Routed: true, stage: pipeline.Output}
-	if h.chains[pipeline.Output].Run(ctx) != pipeline.Accept {
+}
+
+// output runs the OUTPUT chain on a routed packet and schedules an
+// accepted one into POSTROUTING past the output processing delay.
+func (h *Host) output(ifc *Iface, pkt *ip.Packet, nextHop ip.Addr) {
+	ctx := h.enter(pipeline.Output)
+	ctx.Out, ctx.Pkt, ctx.NextHop, ctx.Routed = ifc, pkt, nextHop, true
+	v := h.chains[pipeline.Output].Run(ctx)
+	out, nh := ctx.Out, ctx.NextHop
+	h.leave(ctx)
+	if v != pipeline.Accept {
 		//lint:allow dropaccounting verdict bookkeeping is centralized in the chain observer middleware
-		return nil
+		return
 	}
 	h.stats.Sent++
 	if h.pktlog != nil { // guard: the detail string is costly to format
-		h.pktlog.Record(pkt.Trace, h.name, "ip.output", pkt.String()+" via "+ctx.Out.name)
+		h.pktlog.Record(pkt.Trace, h.name, "ip.output", pkt.String()+" via "+out.name)
 	}
-	out, nh := ctx.Out, ctx.NextHop
-	h.loop.Schedule(h.cfg.OutputDelay, func() { h.postroute(out, pkt, nh) })
-	return nil
+	h.handOff(h.cfg.OutputDelay, hopPostroute, out, pkt, nh)
 }
 
 // Input accepts a packet arriving on ifc. The accept/forward/drop decision
@@ -656,33 +661,40 @@ func (h *Host) Input(ifc *Iface, pkt *ip.Packet) {
 		pkt.Trace = h.loop.NextSerial()
 	}
 	h.stats.Received++
-	ctx := &PacketContext{Host: h, In: ifc, Pkt: pkt, stage: pipeline.Prerouting}
+	ctx := h.enter(pipeline.Prerouting)
+	ctx.In, ctx.Pkt = ifc, pkt
 	h.chains[pipeline.Prerouting].Run(ctx)
+	h.leave(ctx)
 }
 
 // deliver runs the INPUT chain: reassembly, any decapsulation hooks, then
 // the terminal protocol demux.
 func (h *Host) deliver(ifc *Iface, pkt *ip.Packet) {
-	ctx := &PacketContext{Host: h, In: ifc, Pkt: pkt, stage: pipeline.Input}
+	ctx := h.enter(pipeline.Input)
+	ctx.In, ctx.Pkt = ifc, pkt
 	h.chains[pipeline.Input].Run(ctx)
+	h.leave(ctx)
 }
 
 // forward runs the FORWARD chain (TTL, route, filters, MTU, redirect);
 // an accepted packet is cloned, decremented, and scheduled out.
 func (h *Host) forward(in *Iface, pkt *ip.Packet) {
-	ctx := &PacketContext{Host: h, In: in, Pkt: pkt, stage: pipeline.Forward}
-	if h.chains[pipeline.Forward].Run(ctx) != pipeline.Accept {
+	ctx := h.enter(pipeline.Forward)
+	ctx.In, ctx.Pkt = in, pkt
+	v := h.chains[pipeline.Forward].Run(ctx)
+	routed, out, nh := ctx.Pkt, ctx.Out, ctx.NextHop
+	h.leave(ctx)
+	if v != pipeline.Accept {
 		//lint:allow dropaccounting verdict bookkeeping is centralized in the chain observer middleware
 		return
 	}
 	// The forwarded copy shares the payload: bodies are immutable once in
 	// flight, and only the header (TTL) is rewritten here.
-	fwd := ctx.Pkt.ShallowClone()
+	fwd := routed.ShallowClone()
 	fwd.TTL--
 	h.stats.Forwarded++
 	if h.pktlog != nil { // guard: the detail string is costly to format
-		h.pktlog.Record(pkt.Trace, h.name, "ip.forward", "next hop "+ctx.NextHop.String()+" via "+ctx.Out.name)
+		h.pktlog.Record(pkt.Trace, h.name, "ip.forward", "next hop "+nh.String()+" via "+out.name)
 	}
-	out, nh := ctx.Out, ctx.NextHop
-	h.loop.Schedule(h.cfg.ForwardDelay, func() { h.postroute(out, fwd, nh) })
+	h.handOff(h.cfg.ForwardDelay, hopPostroute, out, fwd, nh)
 }

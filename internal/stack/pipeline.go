@@ -2,6 +2,7 @@ package stack
 
 import (
 	"fmt"
+	"time"
 
 	"mosquitonet/internal/ip"
 	"mosquitonet/internal/pipeline"
@@ -34,6 +35,11 @@ const (
 // accumulated so far. Hooks may rewrite Out/NextHop (steering) or Pkt
 // (reassembly swaps in the full datagram); drop bookkeeping is staged on
 // the context and performed once by the chain's observer middleware.
+//
+// A context is valid only while its chain runs: the host reuses one frame
+// per nesting depth and zeroes it as soon as the run returns. A hook that
+// needs a field later copies it out; it never retains the context itself,
+// neither in a field or global nor in a closure it schedules.
 type PacketContext struct {
 	Host *Host
 	In   *Iface // arrival interface; nil for locally originated packets
@@ -58,6 +64,81 @@ type PacketContext struct {
 	icmpSend    bool
 	icmpType    ip.ICMPType
 	icmpCode    uint8
+}
+
+// enter takes the host's next free context frame for a run of stage's
+// chain. Frames form a stack rather than one slot per host or per stage
+// because chains nest on the same host: an OUTPUT drop's ICMP error
+// re-enters Output from the observer, an encapsulating POSTROUTING hook
+// re-enters Output, and a decapsulating INPUT hook re-enters Input. The
+// stack grows lazily to the deepest nesting seen and is reused thereafter.
+func (h *Host) enter(stage pipeline.Stage) *PacketContext {
+	if h.depth == len(h.frames) {
+		h.frames = append(h.frames, new(PacketContext))
+	}
+	ctx := h.frames[h.depth]
+	h.depth++
+	ctx.Host, ctx.stage = h, stage
+	return ctx
+}
+
+// leave zeroes and pops the frame enter returned. Callers copy out what
+// they need first, and leave before scheduling or sending, so a frame never
+// pins a packet and a hook that wrongly retained its context sees it blank.
+func (h *Host) leave(ctx *PacketContext) {
+	*ctx = PacketContext{}
+	h.depth--
+}
+
+// hopKind names the stage a hand-off record dispatches into.
+type hopKind uint8
+
+const (
+	hopDeliver   hopKind = iota // INPUT chain, after the input delay
+	hopForward                  // FORWARD chain, after the input delay
+	hopPostroute                // POSTROUTING chain, after the output or forward delay
+)
+
+// hop is one timed hand-off between stages. Records come from the host's
+// free list and carry their own bound fire method, so scheduling a
+// hand-off allocates neither a record nor a closure in the steady state.
+type hop struct {
+	run  func() // fire, bound once when the record is created
+	h    *Host
+	next *hop // free-list link
+	ifc  *Iface
+	pkt  *ip.Packet
+	nh   ip.Addr
+	kind hopKind
+}
+
+// handOff schedules pkt into the kind's stage after d.
+func (h *Host) handOff(d time.Duration, kind hopKind, ifc *Iface, pkt *ip.Packet, nh ip.Addr) {
+	x := h.hops
+	if x == nil {
+		x = &hop{h: h}
+		x.run = x.fire
+	} else {
+		h.hops, x.next = x.next, nil
+	}
+	x.kind, x.ifc, x.pkt, x.nh = kind, ifc, pkt, nh
+	h.loop.Schedule(d, x.run)
+}
+
+// fire copies the hand-off out, returns the record (holding no packet) to
+// the free list, and only then runs the stage, which may hand off again.
+func (x *hop) fire() {
+	h, kind, ifc, pkt, nh := x.h, x.kind, x.ifc, x.pkt, x.nh
+	x.ifc, x.pkt = nil, nil
+	x.next, h.hops = h.hops, x
+	switch kind {
+	case hopDeliver:
+		h.deliver(ifc, pkt)
+	case hopForward:
+		h.forward(ifc, pkt)
+	default:
+		h.postroute(ifc, pkt, nh)
+	}
 }
 
 // Stage returns the chain stage this context is traversing.
@@ -196,11 +277,11 @@ func (h *Host) hookClassify(ctx *PacketContext) pipeline.Verdict {
 	ifc, pkt := ctx.In, ctx.Pkt
 	switch {
 	case h.IsLocalAddr(pkt.Dst):
-		h.loop.Schedule(h.cfg.InputDelay, func() { h.deliver(ifc, pkt) })
+		h.handOff(h.cfg.InputDelay, hopDeliver, ifc, pkt, ip.Addr{})
 	case h.forwarding && !pkt.Dst.IsMulticast():
 		// Multicast is link-scoped here: unicast routers do not forward
 		// group traffic.
-		h.loop.Schedule(h.cfg.InputDelay, func() { h.forward(ifc, pkt) })
+		h.handOff(h.cfg.InputDelay, hopForward, ifc, pkt, ip.Addr{})
 	default:
 		reason := ""
 		if ctx.Logging() { // guard: the detail string is costly to format
@@ -344,10 +425,14 @@ func (h *Host) resolveRoute(dst, boundSrc ip.Addr) (RouteDecision, error) {
 // forwarded — funnels through here; encapsulating hooks steal their VIF's
 // packets at this stage.
 func (h *Host) postroute(ifc *Iface, pkt *ip.Packet, nextHop ip.Addr) {
-	ctx := &PacketContext{Host: h, Out: ifc, Pkt: pkt, NextHop: nextHop, Routed: true, stage: pipeline.Postrouting}
-	if h.chains[pipeline.Postrouting].Run(ctx) != pipeline.Accept {
+	ctx := h.enter(pipeline.Postrouting)
+	ctx.Out, ctx.Pkt, ctx.NextHop, ctx.Routed = ifc, pkt, nextHop, true
+	v := h.chains[pipeline.Postrouting].Run(ctx)
+	out, pkt, nh := ctx.Out, ctx.Pkt, ctx.NextHop
+	h.leave(ctx)
+	if v != pipeline.Accept {
 		//lint:allow dropaccounting verdict bookkeeping is centralized in the chain observer middleware
 		return
 	}
-	ctx.Out.send(ctx.Pkt, ctx.NextHop)
+	out.send(pkt, nh)
 }

@@ -17,7 +17,7 @@ type node struct {
 	ifc  *Iface
 }
 
-func addNode(t *testing.T, loop *sim.Loop, n *link.Network, name, cidr string) *node {
+func addNode(t testing.TB, loop *sim.Loop, n *link.Network, name, cidr string) *node {
 	t.Helper()
 	pfx := ip.MustParsePrefix(cidr)
 	addr := ip.MustParseAddr(cidr[:len(cidr)-len("/24")])
